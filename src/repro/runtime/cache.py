@@ -13,12 +13,19 @@ Cache entries are pickles written atomically (temp file + ``os.replace``)
 so concurrent workers of one process pool — or two concurrent experiment
 invocations — never observe a half-written entry. A corrupted or
 unreadable entry is treated as a miss and deleted, never propagated.
+
+Entries also follow the code: every entry's file name carries a digest of
+the ``repro`` package source (:func:`code_digest`), so an edit to any
+module turns every earlier entry into a miss. The digest stays out of
+:func:`fingerprint` and :func:`stable_key`, which double as content
+addresses of inputs (scenario ``spec_hash``, topology fingerprints).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -30,8 +37,10 @@ from typing import Any, Optional, Tuple
 __all__ = [
     "CACHE_DIR_ENV",
     "ExperimentCache",
+    "code_digest",
     "default_cache_dir",
     "fingerprint",
+    "package_digest",
     "stable_key",
     "topology_fingerprint",
 ]
@@ -46,6 +55,30 @@ _CACHE_VERSION = "2"
 
 #: Sentinel distinguishing "entry absent" from a cached ``None``.
 _MISS = object()
+
+#: Root of the ``repro`` package, whose source :func:`code_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+def package_digest(root: os.PathLike) -> str:
+    """Content hash of every ``*.py`` file under ``root`` (relative path
+    and bytes, in sorted path order)."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`package_digest` of the running ``repro`` package, computed
+    once per process. Every process of one checkout — the parent and its
+    pool workers alike — derives the same value from the same files."""
+    return package_digest(_PACKAGE_ROOT)
 
 
 def default_cache_dir() -> Path:
@@ -133,7 +166,7 @@ class ExperimentCache:
     # ------------------------------------------------------------------- io
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
+        return self.directory / f"{key}-{code_digest()[:16]}.pkl"
 
     def load(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; corrupted entries count as misses."""

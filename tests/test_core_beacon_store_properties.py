@@ -126,3 +126,137 @@ def test_limit_reached_keeps_count_stable():
         store.insert(random_pcb(rng, now), now)
         for origin in store.origins():
             assert store.count(origin) <= 3
+
+
+class ReferenceStore:
+    """The store's semantics spelled out the slow way: every insert scans
+    its bucket for expired beacons, and ``shortest`` eviction takes the
+    ``max()`` of ``(path_length, -issued_at, path_key)`` over the bucket.
+    The oracle for the ordered store's indexes."""
+
+    def __init__(self, storage_limit, eviction_policy):
+        self.storage_limit = storage_limit
+        self.eviction_policy = eviction_policy
+        self.buckets = {}
+
+    def insert(self, pcb, now):
+        if not pcb.is_valid(now):
+            return False
+        bucket = self.buckets.setdefault(pcb.origin, {})
+        key = pcb.path_key()
+        existing = bucket.get(key)
+        if existing is not None:
+            if pcb.issued_at <= existing.issued_at:
+                return False
+            bucket[key] = pcb
+            return True
+        bucket[key] = pcb
+        for stale in [k for k, p in bucket.items() if not p.is_valid(now)]:
+            del bucket[stale]
+        while (
+            self.storage_limit is not None
+            and len(bucket) > self.storage_limit
+        ):
+            del bucket[max(bucket.values(), key=self._badness).path_key()]
+        return key in bucket
+
+    def _badness(self, pcb):
+        rank = (pcb.path_length, -pcb.issued_at, pcb.path_key())
+        if self.eviction_policy == "shortest":
+            return rank
+        bucket = self.buckets[pcb.origin]
+        links = pcb.link_ids()
+        # Coverage of each link by the *other* beacons' link entries.
+        overlap = min(
+            sum(other.link_ids().count(link) for other in bucket.values())
+            - 1
+            for link in links
+        ) if links else 0
+        return (overlap,) + rank
+
+    def remove_where(self, doomed):
+        removed = 0
+        for bucket in self.buckets.values():
+            for key in [k for k, p in bucket.items() if doomed(p)]:
+                del bucket[key]
+                removed += 1
+        return removed
+
+    def contents(self):
+        return {
+            origin: {key: pcb.issued_at for key, pcb in bucket.items()}
+            for origin, bucket in self.buckets.items()
+            if bucket
+        }
+
+
+def store_contents(store: BeaconStore):
+    return {
+        origin: {pcb.path_key(): pcb.issued_at for pcb in store.beacons(origin)}
+        for origin in store.origins()
+    }
+
+
+@pytest.mark.parametrize("storage_limit", [3, 5, None])
+@pytest.mark.parametrize("eviction_policy", ["shortest", "diverse"])
+@pytest.mark.parametrize("seed", range(6))
+def test_ordered_store_matches_reference(seed, eviction_policy, storage_limit):
+    """After every random operation the store holds exactly what the
+    reference scan-based store holds, and an origin whose contents
+    changed carries a new generation."""
+    rng = Random(1000 + seed)
+    store = BeaconStore(storage_limit, eviction_policy=eviction_policy)
+    reference = ReferenceStore(storage_limit, eviction_policy)
+    now = 10.0
+    seen = {}
+    for _ in range(400):
+        now += rng.random() * 3
+        op = rng.randrange(100)
+        # Occasionally act at an earlier time: the store's validity
+        # window must not assume a monotonic clock.
+        at = now - rng.random() * 4 if op % 10 == 0 else now
+        if op < 50:
+            pcb = random_pcb(rng, at)
+            assert store.insert(pcb, at) == reference.insert(pcb, at)
+        elif op < 70:
+            # A newer (or stale) instance of a stored path: the eviction
+            # order must rank the path by its current instance.
+            beacons = list(store.all_beacons())
+            if beacons:
+                old = rng.choice(beacons)
+                pcb = PCB(
+                    origin=old.origin,
+                    issued_at=old.issued_at + rng.uniform(-1.0, 6.0),
+                    lifetime=old.lifetime,
+                    hops=old.hops,
+                )
+                assert store.insert(pcb, at) == reference.insert(pcb, at)
+        elif op < 78:
+            link_id = rng.randint(1, 12)
+            assert store.remove_crossing(link_id) == reference.remove_where(
+                lambda pcb: pcb.contains_link(link_id)
+            )
+        elif op < 86:
+            asn = rng.randint(2, 9)
+            assert store.remove_traversing_as(asn) == reference.remove_where(
+                lambda pcb: pcb.contains_as(asn)
+            )
+        elif op < 94:
+            assert store.purge_expired(now) == reference.remove_where(
+                lambda pcb: not pcb.is_valid(now)
+            )
+        elif op < 98:
+            beacons = list(store.all_beacons())
+            if beacons:
+                victim = rng.choice(beacons)
+                assert store.remove(victim.path_key()) is victim
+                reference.remove_where(lambda pcb: pcb is victim)
+        else:
+            assert store.clear() == reference.remove_where(lambda pcb: True)
+        contents = store_contents(store)
+        assert contents == reference.contents()
+        for origin, bucket in contents.items():
+            generation = store.generation(origin)
+            if origin in seen and seen[origin][1] != bucket:
+                assert generation != seen[origin][0]
+            seen[origin] = (generation, bucket)

@@ -7,7 +7,9 @@ and a corrupted cache entry is recovered from, never propagated.
 """
 
 import dataclasses
+import multiprocessing
 import pickle
+import shutil
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.runtime import (
     stable_key,
     topology_fingerprint,
 )
+from repro.runtime import cache as cache_module
 from repro.simulation.beaconing import BeaconingConfig, BeaconingMode
 from repro.topology import Relationship, Topology, generate_core_mesh
 
@@ -182,6 +185,56 @@ class TestExperimentCache:
         cache.store("b", 2)
         assert cache.clear() == 2
         assert not cache.contains("a")
+
+
+def _entry_path(directory: str, key: str) -> str:
+    """The entry file a fresh process resolves ``key`` to."""
+    return str(ExperimentCache(directory)._path(key))
+
+
+class TestCodeDigest:
+    """Cache entries follow the code: a module edit is a miss."""
+
+    def test_package_digest_sees_one_module(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "a.py").write_text("A = 1\n")
+        (tmp_path / "pkg" / "b.py").write_text("B = 1\n")
+        before = cache_module.package_digest(tmp_path / "pkg")
+        (tmp_path / "pkg" / "b.py").write_text("B = 2\n")
+        assert cache_module.package_digest(tmp_path / "pkg") != before
+        (tmp_path / "pkg" / "b.py").write_text("B = 1\n")
+        assert cache_module.package_digest(tmp_path / "pkg") == before
+
+    def test_module_edit_turns_hit_into_miss(self, tmp_path, monkeypatch):
+        cache = ExperimentCache(tmp_path / "cache")
+        key = stable_key("warm-sim", get_scale("test"))
+        cache.store(key, "built by this code")
+        assert cache.load(key) == (True, "built by this code")
+        # The same package with one module edited.
+        package = tmp_path / "repro"
+        shutil.copytree(
+            cache_module._PACKAGE_ROOT,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        module = package / "core" / "diversity.py"
+        module.write_text(module.read_text() + "\n# edited\n")
+        edited = cache_module.package_digest(package)
+        assert edited != cache_module.code_digest()
+        monkeypatch.setattr(cache_module, "code_digest", lambda: edited)
+        assert cache.load(key) == (False, None)
+        monkeypatch.undo()
+        assert cache.load(key) == (True, "built by this code")
+
+    def test_fresh_process_shares_entry_paths(self, tmp_path):
+        """Pool workers (jobs=N) resolve the parent's (jobs=1) keys to the
+        same entries; a spawned process recomputes the digest."""
+        key = stable_key("topology", "x")
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(1) as pool:
+            remote = pool.apply(_entry_path, (str(tmp_path), key))
+        assert remote == _entry_path(str(tmp_path), key)
+        assert cache_module.code_digest()[:16] in remote
 
 
 # --------------------------------------------------------------------------
