@@ -18,12 +18,15 @@ Two notions of identity matter for the algorithms:
 
 Wire sizes follow the PCB layout with one ECDSA-384 signature per AS entry
 (the signature scheme the paper assumes for both SCION and BGPsec).
+
+:meth:`PCB.extend` costs O(1) Python work per hop: the child reuses its
+parent's validated hops, link-id and AS tuples and shares interned hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "Hop",
@@ -53,6 +56,30 @@ class Hop:
     asn: int
     ingress_link_id: Optional[int] = None
 
+    def __reduce__(self):
+        # Unpickled hops are interned like freshly built ones.
+        return (_hop, (self.asn, self.ingress_link_id))
+
+
+#: Interned hops, one per (AS, ingress link) the process has seen: bounded by
+#: the link endpoints of the topologies it beacons over. Hops are immutable
+#: and compare by value, so sharing them cannot change any result.
+_HOPS: Dict[Tuple[int, Optional[int]], Hop] = {}
+
+# Sets attributes past the frozen dataclass's ``__setattr__``. Nothing reads a
+# PCB's ``__dict__``, so CPython 3.11+ keeps its attributes inline and never
+# allocates a per-instance dict.
+_set = object.__setattr__
+
+
+def _hop(asn: int, ingress_link_id: Optional[int] = None) -> Hop:
+    """The shared :class:`Hop` for ``(asn, ingress_link_id)``."""
+    key = (asn, ingress_link_id)
+    hop = _HOPS.get(key)
+    if hop is None:
+        hop = _HOPS[key] = Hop(asn, ingress_link_id)
+    return hop
+
 
 @dataclass(frozen=True)
 class PCB:
@@ -75,6 +102,11 @@ class PCB:
         if any(h.ingress_link_id is None for h in self.hops[1:]):
             raise ValueError("non-origin hops must record their ingress link")
 
+    def __reduce__(self):
+        # Pickles carry the fields only: loading revalidates, and the
+        # link-id and AS caches are rebuilt on first use.
+        return (PCB, (self.origin, self.issued_at, self.lifetime, self.hops))
+
     # ------------------------------------------------------------- factory
 
     @classmethod
@@ -84,7 +116,7 @@ class PCB:
             origin=origin,
             issued_at=issued_at,
             lifetime=lifetime,
-            hops=(Hop(origin),),
+            hops=(_hop(origin),),
         )
 
     def extend(self, link_id: int, next_asn: int) -> "PCB":
@@ -93,16 +125,25 @@ class PCB:
         The origination timestamp and lifetime are set by the *initiator*
         (Section 2.2) and are therefore preserved.
         """
-        if self.contains_as(next_asn):
+        asns = self.path_asns()
+        if next_asn in asns:
             raise ValueError(
                 f"AS {next_asn} is already on the path; beaconing never loops"
             )
-        return PCB(
-            origin=self.origin,
-            issued_at=self.issued_at,
-            lifetime=self.lifetime,
-            hops=self.hops + (Hop(next_asn, link_id),),
-        )
+        if link_id is None:
+            raise ValueError("non-origin hops must record their ingress link")
+        # The rest of __post_init__ holds by inheritance from the validated
+        # parent (hops non-empty, first hop the origin with no link, positive
+        # lifetime), so the child skips its O(path) rescan and is built from
+        # the parent's tuples, one concatenation each.
+        child = object.__new__(PCB)
+        _set(child, "origin", self.origin)
+        _set(child, "issued_at", self.issued_at)
+        _set(child, "lifetime", self.lifetime)
+        _set(child, "hops", self.hops + (_hop(next_asn, link_id),))
+        _set(child, "_link_ids", self.link_ids() + (link_id,))
+        _set(child, "_asns", asns + (next_asn,))
+        return child
 
     # ----------------------------------------------------------- validity
 
@@ -136,7 +177,13 @@ class PCB:
         return len(self.hops) - 1
 
     def path_asns(self) -> Tuple[int, ...]:
-        return tuple(hop.asn for hop in self.hops)
+        """AS numbers on the path, origin first; cached like :meth:`link_ids`."""
+        try:
+            return self._asns
+        except AttributeError:
+            asns = tuple(hop.asn for hop in self.hops)
+            _set(self, "_asns", asns)
+            return asns
 
     def link_ids(self) -> Tuple[int, ...]:
         """Link ids of the traversed inter-domain links, in path order.
@@ -145,24 +192,23 @@ class PCB:
         keeps the per-candidate scoring loops of the selection algorithms
         allocation-free.
         """
-        cached = self.__dict__.get("_link_ids")
-        if cached is None:
-            cached = tuple(
+        try:
+            return self._link_ids
+        except AttributeError:
+            link_ids = tuple(
                 hop.ingress_link_id  # type: ignore[misc]
                 for hop in self.hops[1:]
             )
-            object.__setattr__(self, "_link_ids", cached)
-        return cached
+            _set(self, "_link_ids", link_ids)
+            return link_ids
 
     def contains_as(self, asn: int) -> bool:
-        cached = self.__dict__.get("_asn_set")
-        if cached is None:
-            cached = frozenset(hop.asn for hop in self.hops)
-            object.__setattr__(self, "_asn_set", cached)
-        return asn in cached
+        # A scan of the short AS tuple; a per-instance frozenset would cost
+        # more to build and several times the memory (DESIGN.md §5).
+        return asn in self.path_asns()
 
     def contains_link(self, link_id: int) -> bool:
-        return any(hop.ingress_link_id == link_id for hop in self.hops[1:])
+        return link_id in self.link_ids()
 
     def path_key(self) -> Tuple[int, Tuple[int, ...]]:
         """Identity of *the path*, shared by all instances over it."""

@@ -12,7 +12,6 @@ versus ``--jobs N`` compare equal by pickle.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -133,7 +132,6 @@ class FaultOutcome:
 def execute_fault_run(task: FaultTask) -> FaultOutcome:
     """Run one fault-injection schedule; the process-pool task body."""
     spec = task.spec
-    random.seed(spec.seed)
     timings: Dict[str, float] = {}
 
     start = time.perf_counter()

@@ -16,7 +16,6 @@ shared between tasks would make results depend on process scheduling.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -98,7 +97,6 @@ class MultipathOutcome:
 def execute_multipath_run(task: MultipathTask) -> MultipathOutcome:
     """Run one churn horizon; the process-pool task body."""
     spec = task.spec
-    random.seed(spec.seed)
     timings: Dict[str, float] = {}
 
     start = time.perf_counter()

@@ -20,7 +20,6 @@ so a resumed run is bit-identical to an uninterrupted one.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -200,7 +199,6 @@ def execute_series(task: SeriesTask) -> SeriesOutcome:
     makes ``--jobs 1`` and ``--jobs N`` byte-identical.
     """
     spec = task.spec
-    random.seed(spec.seed)
     timings: Dict[str, float] = {}
     tel: Optional[Telemetry] = None
     if task.telemetry:

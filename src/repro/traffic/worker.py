@@ -17,7 +17,6 @@ determinism contract. Every task builds its network fresh.
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -138,7 +137,6 @@ class TrafficOutcome:
 def execute_traffic_run(task: TrafficTask) -> TrafficOutcome:
     """Run one traffic workload; the process-pool task body."""
     spec = task.spec
-    random.seed(spec.seed)
     timings: Dict[str, float] = {}
 
     start = time.perf_counter()

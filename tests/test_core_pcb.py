@@ -1,5 +1,7 @@
 """Unit tests for the PCB model."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -130,3 +132,61 @@ class TestWireSize:
 def test_validity_is_exactly_the_half_open_window(issued, lifetime, probe):
     pcb = PCB.originate(1, issued, lifetime)
     assert pcb.is_valid(probe) == (issued <= probe < issued + lifetime)
+
+
+#: AS numbers and link ids the property tests draw from (and probe).
+IDS = range(12)
+
+
+@given(
+    origin=st.sampled_from(IDS),
+    asns=st.lists(st.sampled_from(IDS), unique=True, max_size=10),
+    links=st.lists(st.sampled_from(IDS), min_size=10, max_size=10),
+    issued=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    lifetime=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+)
+def test_extend_matches_validating_constructor(
+    origin, asns, links, issued, lifetime
+):
+    """``extend`` skips ``__post_init__`` and builds its caches from the
+    parent's; every observable must still equal a PCB built directly from
+    freshly made hops."""
+    asns = [asn for asn in asns if asn != origin]
+    built = PCB.originate(origin, issued, lifetime)
+    hops = [Hop(origin)]
+    for step in range(len(asns) + 1):
+        direct = PCB(origin, issued, lifetime, tuple(hops))
+        loaded = pickle.loads(pickle.dumps(built))
+        for pcb in (direct, loaded):
+            assert pcb == built
+            assert hash(pcb) == hash(built)
+            assert pcb.path_key() == built.path_key()
+            assert pcb.link_ids() == built.link_ids()
+            assert pcb.path_asns() == built.path_asns()
+            assert pcb.num_hops == built.num_hops
+            assert pcb.wire_size() == built.wire_size()
+            for probe in IDS:
+                assert pcb.contains_as(probe) == built.contains_as(probe)
+                assert pcb.contains_link(probe) == built.contains_link(probe)
+        assert all(a is b for a, b in zip(loaded.hops, built.hops))
+        for asn in built.path_asns():
+            with pytest.raises(ValueError):
+                built.extend(links[0], asn)
+        if step == len(asns):
+            break
+        asn, link = asns[step], links[step]
+        with pytest.raises(ValueError):
+            built.extend(None, asn)
+        # A child of a directly built PCB (lazy caches) equals extend's.
+        assert direct.extend(link, asn) == built.extend(link, asn)
+        built = built.extend(link, asn)
+        hops.append(Hop(asn, link))
+
+
+def test_equal_hops_are_shared():
+    first = PCB.originate(1, 0.0, 60.0).extend(10, 2).extend(20, 3)
+    second = PCB.originate(5, 9.0, 30.0).extend(30, 2).extend(20, 3)
+    assert first.hops[2] is second.hops[2]
+    assert first.hops[1] is not second.hops[1]
+    loaded = pickle.loads(pickle.dumps(second))
+    assert all(a is b for a, b in zip(loaded.hops, second.hops))
